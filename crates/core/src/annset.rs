@@ -254,8 +254,8 @@ impl<K: Copy + Eq + std::hash::Hash> AnnMap<K> {
     }
 
     /// Membership test across both layers: O(1)/O(log n) via the key's
-    /// [`AnnSet`]s. Read-only — the parallel solver's speculation phase
-    /// probes with this against the frozen pre-round view.
+    /// [`AnnSet`]s.
+    #[cfg(test)]
     pub(crate) fn contains(&self, key: K, a: AnnId) -> bool {
         self.over.index.get(&key).is_some_and(|s| s.contains(a))
             || self

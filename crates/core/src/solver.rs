@@ -23,8 +23,6 @@ use std::sync::Arc;
 
 use rasc_obs as obs;
 
-mod parallel;
-
 use crate::algebra::{Algebra, AnnId};
 use crate::annset::{AnnMap, AnnSet};
 use crate::budget::{Budget, Outcome};
@@ -118,7 +116,7 @@ pub(crate) type ExprKey = (ConsId, Vec<VarId>);
 /// A resolved source/sink meeting: `(source key, sink key, g, h)`.
 pub(crate) type MeetEntry = (ExprKey, ExprKey, AnnId, AnnId);
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy)]
 enum Fact {
     Edge(VarId, VarId, AnnId),
     Lb(VarId, SrcId, AnnId),

@@ -1,9 +1,9 @@
 //! The [`MetricsRegistry`] aggregation sink and its exposition encoders.
 //!
-//! Unlike the streaming sinks ([`crate::JsonLinesSink`],
-//! [`crate::ChromeTraceSink`]) which preserve individual events, the
-//! registry *aggregates in place* so a long-running server can answer
-//! "what are the p99 latencies right now" without unbounded memory:
+//! Unlike the streaming [`crate::ChromeTraceSink`], which preserves
+//! individual events, the registry *aggregates in place* so a
+//! long-running server can answer "what are the p99 latencies right now"
+//! without unbounded memory:
 //!
 //! * **counters** — one `AtomicU64` per name, relaxed `fetch_add`;
 //! * **gauges** — one `AtomicU64` per name, relaxed `store`;

@@ -8,9 +8,9 @@
 //! rasc spec       --spec FILE [--dot] [--monoid]
 //! rasc cfg        --program FILE [--dot]
 //! rasc batch      --spec FILE [--input FILE] [--trace FILE] [--profile]
-//! rasc serve      --spec FILE [--addr HOST:PORT] [--threads N] [--solve-threads N]
-//!                 [--limits SPEC] [--max-connections N] [--snapshot-dir DIR]
-//!                 [--trace FILE] [--profile] [--admin-addr HOST:PORT] [--slow-millis N]
+//! rasc serve      --spec FILE [--addr HOST:PORT] [--threads N] [--limits SPEC]
+//!                 [--max-connections N] [--snapshot-dir DIR] [--trace FILE] [--profile]
+//!                 [--admin-addr HOST:PORT] [--slow-millis N]
 //! rasc stats      --addr HOST:PORT [--metrics] [--watch SECS]
 //! rasc snapshot   --spec FILE --out SNAP [--input FILE]
 //! rasc restore    --spec FILE --snapshot SNAP [--input FILE]
@@ -27,9 +27,7 @@
 //!
 //! `serve` exposes the same protocol over TCP (one session per
 //! connection; see `rasc::serve`): `--threads` sizes the worker pool,
-//! `--solve-threads N` solves each large `add` batch on N solver threads
-//! (deterministic — answers and snapshots are byte-identical to the
-//! sequential solver), `--max-connections` caps admission, and `--limits
+//! `--max-connections` caps admission, and `--limits
 //! steps=N,millis=N,terms=N,entries=N` sets server-wide per-request
 //! resource caps. The server drains gracefully when any client sends
 //! `{"cmd":"shutdown"}` or on SIGINT/SIGTERM; with `--snapshot-dir DIR`
@@ -77,26 +75,103 @@ fn run(args: &[String]) -> Result<(), String> {
     let Some(cmd) = args.first() else {
         return Err(usage());
     };
-    let opts = parse_opts(cmd, &args[1..])?;
-    match cmd.as_str() {
-        "check" => check(&opts),
-        "dataflow" => dataflow(&opts),
-        "flow" => flow(&opts),
-        "points-to" => points_to(&opts),
-        "spec" => spec_cmd(&opts),
-        "cfg" => cfg_cmd(&opts),
-        "batch" => batch(&opts),
-        "serve" => serve(&opts),
-        "stats" => stats_cmd(&opts),
-        "snapshot" => snapshot_cmd(&opts),
-        "restore" => restore_cmd(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{}", usage());
+        return Ok(());
     }
+    let Some(&(_, handler, known)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        return Err(format!("unknown command `{cmd}`\n{}", usage()));
+    };
+    handler(&parse_opts(cmd, known, &args[1..])?)
 }
+
+/// A subcommand's entry point.
+type Handler = fn(&Opts) -> Result<(), String>;
+
+/// A subcommand's known options, each with its number of values.
+type Known = &'static [(&'static str, usize)];
+
+/// Every subcommand with its handler and its known options (0 values = a
+/// bare flag). Arity is per-command: `check --trace` is a bare flag (print
+/// a witness trace), while `batch --trace FILE` names the trace-event
+/// output file. Any option not listed for the command is rejected.
+const COMMANDS: &[(&str, Handler, Known)] = &[
+    (
+        "check",
+        check,
+        &[
+            ("spec", 1),
+            ("program", 1),
+            ("entry", 1),
+            ("engine", 1),
+            ("trace", 0),
+        ],
+    ),
+    (
+        "dataflow",
+        dataflow,
+        &[("program", 1), ("fact", 1), ("at", 1)],
+    ),
+    (
+        "flow",
+        flow,
+        &[
+            ("program", 1),
+            ("from", 1),
+            ("to", 1),
+            ("dual", 0),
+            ("pn", 0),
+        ],
+    ),
+    (
+        "points-to",
+        points_to,
+        &[
+            ("program", 1),
+            ("sets", 0),
+            ("alias", 2),
+            ("stack-aware", 0),
+        ],
+    ),
+    ("spec", spec_cmd, &[("spec", 1), ("dot", 0), ("monoid", 0)]),
+    ("cfg", cfg_cmd, &[("program", 1), ("dot", 0)]),
+    (
+        "batch",
+        batch,
+        &[("spec", 1), ("input", 1), ("trace", 1), ("profile", 0)],
+    ),
+    (
+        "serve",
+        serve,
+        &[
+            ("spec", 1),
+            ("addr", 1),
+            ("threads", 1),
+            ("limits", 1),
+            ("max-connections", 1),
+            ("snapshot-dir", 1),
+            ("trace", 1),
+            ("profile", 0),
+            ("admin-addr", 1),
+            ("slow-millis", 1),
+        ],
+    ),
+    (
+        "stats",
+        stats_cmd,
+        &[("addr", 1), ("metrics", 0), ("watch", 1)],
+    ),
+    (
+        "snapshot",
+        snapshot_cmd,
+        &[("spec", 1), ("out", 1), ("input", 1)],
+    ),
+    (
+        "restore",
+        restore_cmd,
+        &[("spec", 1), ("snapshot", 1), ("input", 1)],
+    ),
+];
 
 fn usage() -> String {
     "usage:\n  \
@@ -107,7 +182,7 @@ fn usage() -> String {
      rasc spec       --spec FILE [--dot] [--monoid]\n  \
      rasc cfg        --program FILE [--dot]\n  \
      rasc batch      --spec FILE [--input FILE] [--trace FILE] [--profile]   (JSON-lines commands on stdin or FILE)\n  \
-     rasc serve      --spec FILE [--addr HOST:PORT] [--threads N] [--solve-threads N] [--limits steps=N,millis=N,terms=N,entries=N] [--max-connections N] [--snapshot-dir DIR] [--trace FILE] [--profile] [--admin-addr HOST:PORT] [--slow-millis N]\n  \
+     rasc serve      --spec FILE [--addr HOST:PORT] [--threads N] [--limits steps=N,millis=N,terms=N,entries=N] [--max-connections N] [--snapshot-dir DIR] [--trace FILE] [--profile] [--admin-addr HOST:PORT] [--slow-millis N]\n  \
      rasc stats      --addr HOST:PORT [--metrics] [--watch SECS]   (poll a running server's admin endpoint)\n  \
      rasc snapshot   --spec FILE --out SNAP [--input FILE]   (run a command stream, then persist the solved form)\n  \
      rasc restore    --spec FILE --snapshot SNAP [--input FILE]   (reload a solved form, then run a command stream)"
@@ -142,29 +217,7 @@ impl Opts {
     }
 }
 
-/// Options taking N values (everything else is a flag). Arity is
-/// per-command: `check --trace` is a bare flag (print a witness trace),
-/// while `batch --trace FILE` names the trace-event output file.
-fn arity(cmd: &str, name: &str) -> usize {
-    match name {
-        "spec" | "program" | "entry" | "engine" | "fact" | "from" | "to" | "at" | "input" => 1,
-        "trace" if cmd == "batch" || cmd == "serve" => 1,
-        "threads" | "solve-threads" | "limits" | "max-connections" | "snapshot-dir"
-        | "admin-addr" | "slow-millis"
-            if cmd == "serve" =>
-        {
-            1
-        }
-        "addr" if cmd == "serve" || cmd == "stats" => 1,
-        "watch" if cmd == "stats" => 1,
-        "out" if cmd == "snapshot" => 1,
-        "snapshot" if cmd == "restore" => 1,
-        "alias" => 2,
-        _ => 0,
-    }
-}
-
-fn parse_opts(cmd: &str, args: &[String]) -> Result<Opts, String> {
+fn parse_opts(cmd: &str, known: Known, args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts::default();
     let mut i = 0;
     while i < args.len() {
@@ -172,7 +225,9 @@ fn parse_opts(cmd: &str, args: &[String]) -> Result<Opts, String> {
         let Some(name) = arg.strip_prefix("--") else {
             return Err(format!("unexpected argument `{arg}`"));
         };
-        let n = arity(cmd, name);
+        let Some(&(_, n)) = known.iter().find(|(k, _)| *k == name) else {
+            return Err(format!("unknown option --{name} for {cmd}"));
+        };
         if n == 0 {
             opts.flags.push(name.to_owned());
             i += 1;
@@ -479,9 +534,6 @@ fn serve(opts: &Opts) -> Result<(), String> {
     let mut config = rasc::serve::ServeConfig::default();
     if let Some(n) = parse_num("threads")? {
         config.threads = n.max(1);
-    }
-    if let Some(n) = parse_num("solve-threads")? {
-        config.solve_threads = n.max(1);
     }
     if let Some(n) = parse_num("max-connections")? {
         config.max_connections = n.max(1);

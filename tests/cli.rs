@@ -193,6 +193,42 @@ fn bad_usage_is_reported() {
 }
 
 #[test]
+fn unknown_options_are_rejected() {
+    // A typo'd flag used to be taken as an unused bare flag and ignored.
+    let (ok, text) = rasc(&[
+        "check",
+        "--spec",
+        "assets/specs/privilege.spec",
+        "--program",
+        "assets/programs/safe.mimp",
+        "--profle",
+    ]);
+    assert!(!ok, "{text}");
+    assert!(text.contains("unknown option --profle for check"), "{text}");
+    // Options are per-command: `--profile` belongs to batch and serve.
+    let (ok, text) = rasc(&["cfg", "--program", "assets/programs/safe.mimp", "--profile"]);
+    assert!(!ok, "{text}");
+    assert!(text.contains("unknown option --profile for cfg"), "{text}");
+    // The removed `--solve-threads` is named, not misreported as a stray
+    // positional `4`; the server never binds.
+    let (ok, text) = rasc(&[
+        "serve",
+        "--spec",
+        "assets/specs/privilege.spec",
+        "--addr",
+        "127.0.0.1:0",
+        "--solve-threads",
+        "4",
+    ]);
+    assert!(!ok, "{text}");
+    assert!(
+        text.contains("unknown option --solve-threads for serve"),
+        "{text}"
+    );
+    assert!(!text.contains("serving on"), "{text}");
+}
+
+#[test]
 fn batch_runs_an_incremental_session() {
     let (ok, text) = rasc(&[
         "batch",

@@ -199,40 +199,52 @@ fn resume_equals_uninterrupted() {
             let (sigma, dfa) = machine();
             let syms: Vec<SymbolId> = sigma.symbols().collect();
 
-            // Uninterrupted reference fixpoint.
-            let mut reference =
-                System::with_config(MonoidAlgebra::new(&dfa), SolverConfig::default());
-            let shape_r = declare(&mut reference);
-            for c in cons {
-                apply(&mut reference, &shape_r, &syms, c);
-            }
-            reference.solve();
-            let want = system_signature(&mut reference, &shape_r);
+            // Both configurations: without cycle elimination and projection
+            // merging, ε edges and projections take a different worklist
+            // path through the interrupt point.
+            let configs = [
+                SolverConfig::default(),
+                SolverConfig {
+                    cycle_elimination: false,
+                    projection_merging: false,
+                    ..SolverConfig::default()
+                },
+            ];
+            for config in configs {
+                // Uninterrupted reference fixpoint.
+                let mut reference = System::with_config(MonoidAlgebra::new(&dfa), config);
+                let shape_r = declare(&mut reference);
+                for c in cons {
+                    apply(&mut reference, &shape_r, &syms, c);
+                }
+                reference.solve();
+                let want = system_signature(&mut reference, &shape_r);
 
-            // Same constraints, but every solve attempt is sabotaged by a
-            // fault plan before an unlimited resume finishes the job.
-            let mut sys = System::with_config(MonoidAlgebra::new(&dfa), SolverConfig::default());
-            let shape = declare(&mut sys);
-            for c in cons {
-                apply(&mut sys, &shape, &syms, c);
-            }
-            for plan in plans {
-                match sys.solve_bounded(&plan.budget()) {
-                    Outcome::Complete => break,
-                    Outcome::Interrupted(_) => {
-                        // The interrupting fact stays queued for resume.
-                        prop_assert!(
-                            sys.pending_facts() > 0,
-                            "interrupt left no pending work ({plan:?})"
-                        );
+                // Same constraints, but every solve attempt is sabotaged by a
+                // fault plan before an unlimited resume finishes the job.
+                let mut sys = System::with_config(MonoidAlgebra::new(&dfa), config);
+                let shape = declare(&mut sys);
+                for c in cons {
+                    apply(&mut sys, &shape, &syms, c);
+                }
+                for plan in plans {
+                    match sys.solve_bounded(&plan.budget()) {
+                        Outcome::Complete => break,
+                        Outcome::Interrupted(_) => {
+                            // The interrupting fact stays queued for resume.
+                            prop_assert!(
+                                sys.pending_facts() > 0,
+                                "interrupt left no pending work ({plan:?})"
+                            );
+                        }
                     }
                 }
-            }
-            prop_assert!(sys.solve_bounded(&Budget::unlimited()).is_complete());
-            prop_assert_eq!(sys.pending_facts(), 0);
+                prop_assert!(sys.solve_bounded(&Budget::unlimited()).is_complete());
+                prop_assert_eq!(sys.pending_facts(), 0);
 
-            let got = system_signature(&mut sys, &shape);
-            prop_assert_eq!(&got, &want, "resumed fixpoint diverged from uninterrupted");
+                let got = system_signature(&mut sys, &shape);
+                prop_assert_eq!(&got, &want, "resumed fixpoint diverged from uninterrupted");
+            }
             Ok(())
         },
     );
