@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use super::{Algebra, AnnId};
+use super::{Algebra, AnnId, ClassId};
 
 /// Annotations for the paper's *n-bit language*: the product of `n`
 /// 1-bit gen/kill machines (Figure 1), used for interprocedural bit-vector
@@ -127,6 +127,20 @@ impl Algebra for GenKillAlgebra {
         self.anns[a.index()].0 != 0
     }
 
+    /// A class is the fact mask `f(∅)`: the facts that hold after the
+    /// path when none held before it.
+    fn start_class(&self) -> ClassId {
+        ClassId(0)
+    }
+
+    fn apply_class(&mut self, a: AnnId, c: ClassId) -> ClassId {
+        ClassId(self.apply(a, c.0))
+    }
+
+    fn class_accepting(&self, c: ClassId) -> bool {
+        c.0 != 0
+    }
+
     fn describe(&self, a: AnnId) -> String {
         let (gen, kill) = self.anns[a.index()];
         format!("gen={gen:#b} kill={kill:#b}")
@@ -193,6 +207,21 @@ mod tests {
         assert!(!alg.is_accepting(k));
         let gk = alg.compose(k, g);
         assert!(!alg.is_accepting(gk));
+    }
+
+    #[test]
+    fn class_is_fact_mask_and_agrees_on_acceptance() {
+        let mut alg = GenKillAlgebra::new(3);
+        let gens: Vec<AnnId> = [(0b001, 0b010), (0b100, 0), (0, 0b101), (0b010, 0b001)]
+            .iter()
+            .map(|&(g, k)| alg.transfer(g, k))
+            .collect();
+        super::super::close_under_compose(&mut alg, &gens, 3);
+        assert!(alg.len() > gens.len() + 1);
+        super::super::assert_class_law(&mut alg);
+        let f = alg.compose(gens[1], gens[0]);
+        let start = alg.start_class();
+        assert_eq!(alg.apply_class(f, start).0, alg.apply(f, 0));
     }
 
     #[test]

@@ -33,6 +33,16 @@ impl AnnId {
     }
 }
 
+/// A right-congruence class `f(s₀)` of an annotation `f` (§5): the part
+/// of an annotation that decides acceptance once nothing more is composed
+/// before it.
+///
+/// Backed by a `u64` so a gen/kill fact mask fits. Classes are only
+/// meaningful relative to the [`Algebra`] that produced them; see
+/// [`Algebra::start_class`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ClassId(pub u64);
+
 /// A finite annotation monoid with interned elements.
 ///
 /// `compose` takes `&mut self` because elements are interned on demand
@@ -60,6 +70,28 @@ pub trait Algebra {
         true
     }
 
+    /// The class of the identity annotation, `f_ε(s₀)`.
+    ///
+    /// Together with [`Algebra::apply_class`] and
+    /// [`Algebra::class_accepting`] this lets a query track `f(s₀)`
+    /// instead of `f`, under the law
+    /// `is_accepting(f) == class_accepting(apply_class(f, start_class()))`.
+    /// By default the class *is* the annotation, which is exact for any
+    /// algebra; override all three when fewer classes suffice.
+    fn start_class(&self) -> ClassId {
+        ClassId(u64::from(self.identity().0))
+    }
+
+    /// The class `a(c)`: annotation `a` performed after a path in class `c`.
+    fn apply_class(&mut self, a: AnnId, c: ClassId) -> ClassId {
+        ClassId(u64::from(self.compose(a, class_ann(c)).0))
+    }
+
+    /// Whether paths in class `c` are accepted.
+    fn class_accepting(&self, c: ClassId) -> bool {
+        self.is_accepting(class_ann(c))
+    }
+
     /// Human-readable rendering for diagnostics.
     fn describe(&self, a: AnnId) -> String;
 
@@ -70,5 +102,43 @@ pub trait Algebra {
     /// identity always is).
     fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// The annotation a default class stands for.
+fn class_ann(c: ClassId) -> AnnId {
+    AnnId(crate::id_u32(c.0 as usize, "annotation classes"))
+}
+
+/// Checks `is_accepting(f) == class_accepting(apply_class(f, start))` for
+/// every annotation `alg` has interned.
+#[cfg(test)]
+fn assert_class_law<A: Algebra>(alg: &mut A) {
+    let start = alg.start_class();
+    for i in 0..alg.len() {
+        let f = AnnId(crate::id_u32(i, "annotations"));
+        let c = alg.apply_class(f, start);
+        assert_eq!(
+            alg.is_accepting(f),
+            alg.class_accepting(c),
+            "annotation {} ({i}) and its class {c:?} disagree on acceptance",
+            alg.describe(f)
+        );
+    }
+}
+
+/// Interns every product of up to `depth` annotations from `gens`, so a
+/// law check covers more than the generators.
+#[cfg(test)]
+fn close_under_compose<A: Algebra>(alg: &mut A, gens: &[AnnId], depth: usize) {
+    let mut frontier = vec![alg.identity()];
+    for _ in 0..depth {
+        let mut next = Vec::new();
+        for &f in &frontier {
+            for &g in gens {
+                next.push(alg.compose(g, f));
+            }
+        }
+        frontier = next;
     }
 }

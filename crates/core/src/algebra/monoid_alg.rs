@@ -2,7 +2,7 @@
 
 use rasc_automata::{Dfa, FnId, Monoid, StateId, SymbolId};
 
-use super::{Algebra, AnnId};
+use super::{Algebra, AnnId, ClassId};
 use crate::snapshot::{ByteReader, ByteWriter, SnapshotAlgebra, SnapshotError};
 
 /// Annotations drawn from the transition monoid `F_M^≡` of a regular
@@ -141,6 +141,14 @@ fn fnid(a: AnnId) -> FnId {
     FnId::from_index(a.index())
 }
 
+fn state_class(s: StateId) -> ClassId {
+    ClassId(s.index() as u64)
+}
+
+fn class_state(c: ClassId) -> StateId {
+    StateId::from_index(c.0 as usize)
+}
+
 impl Algebra for MonoidAlgebra {
     fn identity(&self) -> AnnId {
         ann(self.monoid.identity())
@@ -162,6 +170,20 @@ impl Algebra for MonoidAlgebra {
             .images()
             .enumerate()
             .any(|(s, img)| self.reachable[s] && self.coreachable[img.index()])
+    }
+
+    /// A class is the machine state `f(s₀)`: at most as many classes as
+    /// the minimized machine has states.
+    fn start_class(&self) -> ClassId {
+        state_class(self.start_state())
+    }
+
+    fn apply_class(&mut self, a: AnnId, c: ClassId) -> ClassId {
+        state_class(self.apply(a, class_state(c)))
+    }
+
+    fn class_accepting(&self, c: ClassId) -> bool {
+        self.state_accepting(class_state(c))
     }
 
     fn describe(&self, a: AnnId) -> String {
@@ -293,6 +315,24 @@ mod tests {
         broken[last] ^= 0x40;
         let mut r = ByteReader::new(&broken);
         assert!(MonoidAlgebra::snapshot_read(&mut r).is_err());
+    }
+
+    #[test]
+    fn class_is_forward_state_and_agrees_on_acceptance() {
+        let sigma = Alphabet::from_names(["a", "b"]);
+        let m = Regex::parse("b* a (b | a b* a)* b+", &sigma)
+            .unwrap()
+            .compile(&sigma);
+        let mut alg = MonoidAlgebra::new(&m);
+        let gens: Vec<AnnId> = sigma.symbols().map(|s| alg.symbol(s)).collect();
+        super::super::close_under_compose(&mut alg, &gens, 5);
+        super::super::assert_class_law(&mut alg);
+        let start = alg.start_class();
+        for i in 0..alg.len() {
+            let f = AnnId(i as u32);
+            let c = alg.apply_class(f, start);
+            assert_eq!(c.0, alg.forward_class(f).index() as u64, "fn {i}");
+        }
     }
 
     #[test]

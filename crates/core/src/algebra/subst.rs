@@ -444,6 +444,25 @@ mod tests {
     }
 
     #[test]
+    fn default_class_is_the_annotation_and_agrees_on_acceptance() {
+        let (mut alg, open, close) = file_state();
+        let x = alg.param("x");
+        let (fd1, fd2) = (alg.label("fd1"), alg.label("fd2"));
+        let gens = [
+            alg.instantiate(open, &[(x, fd1)]),
+            alg.instantiate(open, &[(x, fd2)]),
+            alg.instantiate(close, &[(x, fd1)]),
+            alg.plain(close),
+        ];
+        super::super::close_under_compose(&mut alg, &gens, 3);
+        super::super::assert_class_law(&mut alg);
+        let start = alg.start_class();
+        for &f in &gens {
+            assert_eq!(alg.apply_class(f, start).0, f.index() as u64);
+        }
+    }
+
+    #[test]
     fn identity_is_neutral() {
         let (mut alg, open, _) = file_state();
         let x = alg.param("x");

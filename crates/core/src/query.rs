@@ -8,7 +8,9 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use crate::algebra::{Algebra, AnnId};
+use rasc_obs as obs;
+
+use crate::algebra::{Algebra, AnnId, ClassId};
 use crate::solver::{System, VarId};
 use crate::term::{ConsId, GroundTerm};
 
@@ -121,18 +123,54 @@ impl<A: Algebra> System<A> {
     /// constant `target` occurs at any depth in its least solution.
     ///
     /// Computed *bottom-up* in a single fixpoint, so checking a whole
-    /// program's worth of variables (the §6.2 violation scan) costs one
-    /// pass instead of one descent per variable:
+    /// program's worth of variables costs one pass instead of one descent
+    /// per variable:
     /// `occ(X) = {f | (target, f) ∈ lb(X)} ∪
     ///           {f ∘ h | (c(…,Y,…), f) ∈ lb(X), h ∈ occ(Y)}`.
-    #[allow(clippy::needless_range_loop)] // x is a variable id
+    ///
+    /// Scans that only test acceptance should use the smaller
+    /// [`System::constant_occurrence_classes`].
     pub fn constant_occurrence_map(&mut self, target: ConsId) -> Vec<Vec<AnnId>> {
+        self.occurrence_fixpoint(target, |_, f| f, |alg, f, h| alg.compose(f, h))
+    }
+
+    /// For every variable, the classes `f(s₀)` of the annotations in
+    /// [`System::constant_occurrence_map`]: the same fixpoint, run on
+    /// [`Algebra::apply_class`] instead of composition.
+    ///
+    /// A variable's class set is empty exactly when its annotation set is,
+    /// and contains an [`Algebra::class_accepting`] class exactly when the
+    /// annotation set contains an accepting annotation — which is all the
+    /// §6.2 violation scan and the §3.3 dataflow answer need.
+    pub fn constant_occurrence_classes(&mut self, target: ConsId) -> Vec<Vec<ClassId>> {
+        self.occurrence_fixpoint(
+            target,
+            |alg, f| {
+                let start = alg.start_class();
+                alg.apply_class(f, start)
+            },
+            |alg, f, c| alg.apply_class(f, c),
+        )
+    }
+
+    /// The bottom-up occurrence fixpoint shared by the function- and
+    /// class-valued maps: `seed(f)` is the value of a `target` lower bound
+    /// annotated `f`, and `step(f, v)` the value of an occurrence `v`
+    /// wrapped in a constructor lower bound annotated `f`.
+    #[allow(clippy::needless_range_loop)] // x is a variable id
+    fn occurrence_fixpoint<T: Copy + Ord>(
+        &mut self,
+        target: ConsId,
+        mut seed: impl FnMut(&mut A, AnnId) -> T,
+        mut step: impl FnMut(&mut A, AnnId, T) -> T,
+    ) -> Vec<Vec<T>> {
+        let _span = obs::span("query.occurrence_map");
         let n = self.num_vars();
-        let mut occ: Vec<Vec<AnnId>> = vec![Vec::new(); n];
-        // arg-uses[y] = (x, f, via-constructor) for each lb entry of x whose
-        // source has y as an argument.
+        let mut occ: Vec<Vec<T>> = vec![Vec::new(); n];
+        // uses[y] = (x, f) for each lb entry of x whose source has y as an
+        // argument.
         let mut uses: Vec<Vec<(usize, AnnId)>> = vec![Vec::new(); n];
-        let mut worklist: VecDeque<(usize, AnnId)> = VecDeque::new();
+        let mut worklist: VecDeque<(usize, T)> = VecDeque::new();
         for x in 0..n {
             let entries: Vec<(ConsId, Vec<VarId>, Vec<AnnId>)> = self
                 .lbs_of(VarId(x as u32))
@@ -140,8 +178,11 @@ impl<A: Algebra> System<A> {
                 .collect();
             for (cons, args, anns) in entries {
                 for &f in &anns {
-                    if cons == target && insert_sorted(&mut occ[x], f) {
-                        worklist.push_back((x, f));
+                    if cons == target {
+                        let v = seed(self.algebra_mut(), f);
+                        if insert_sorted(&mut occ[x], v) {
+                            worklist.push_back((x, v));
+                        }
                     }
                     for &arg in &args {
                         uses[arg.index()].push((x, f));
@@ -150,13 +191,17 @@ impl<A: Algebra> System<A> {
             }
         }
         while let Some((y, h)) = worklist.pop_front() {
-            for &(x, f) in &uses[y].clone() {
-                let composed = self.algebra_mut().compose(f, h);
-                if insert_sorted(&mut occ[x], composed) {
-                    worklist.push_back((x, composed));
+            for &(x, f) in &uses[y] {
+                let v = step(self.algebra_mut(), f, h);
+                if insert_sorted(&mut occ[x], v) {
+                    worklist.push_back((x, v));
                 }
             }
         }
+        obs::counter(
+            "query.occurrence_map.entries",
+            occ.iter().map(|s| s.len() as u64).sum(),
+        );
         occ
     }
 
@@ -505,7 +550,7 @@ impl<A: Algebra> System<A> {
     }
 }
 
-fn insert_sorted(set: &mut Vec<AnnId>, a: AnnId) -> bool {
+fn insert_sorted<T: Ord>(set: &mut Vec<T>, a: T) -> bool {
     match set.binary_search(&a) {
         Ok(_) => false,
         Err(pos) => {
@@ -518,7 +563,7 @@ fn insert_sorted(set: &mut Vec<AnnId>, a: AnnId) -> bool {
 #[cfg(test)]
 mod tests {
     use crate::algebra::{Algebra, MonoidAlgebra};
-    use crate::{SetExpr, System, Variance};
+    use crate::{ConsId, SetExpr, System, VarId, Variance};
     use rasc_automata::{Alphabet, Dfa};
 
     fn one_bit_system() -> (
@@ -633,8 +678,9 @@ mod tests {
         assert!(!sys.intersect_nonempty(x, y));
     }
 
-    #[test]
-    fn occurrence_map_agrees_with_per_var_query() {
+    /// The system `occurrence_map_agrees_with_per_var_query` and its class
+    /// twin run on: `pc` wrapped twice, then a g-then-k and a g-then-g path.
+    fn two_level_system() -> (System<MonoidAlgebra>, ConsId, Vec<VarId>) {
         let (mut sys, g, k) = one_bit_system();
         let pc = sys.constructor("pc", &[]);
         let o1 = sys.constructor("o1", &[Variance::Covariant]);
@@ -655,6 +701,12 @@ mod tests {
         sys.add_ann(SetExpr::var(vars[3]), SetExpr::var(vars[5]), fg)
             .unwrap();
         sys.solve();
+        (sys, pc, vars)
+    }
+
+    #[test]
+    fn occurrence_map_agrees_with_per_var_query() {
+        let (mut sys, pc, vars) = two_level_system();
         let occ = sys.constant_occurrence_map(pc);
         for (i, &v) in vars.iter().enumerate() {
             let expected = sys.occurs_accepting(v, pc);
@@ -666,6 +718,27 @@ mod tests {
         // Sanity: the g-then-k path is not accepting; g-then-g is.
         assert!(!sys.occurs_accepting(vars[4], pc));
         assert!(sys.occurs_accepting(vars[5], pc));
+    }
+
+    #[test]
+    fn occurrence_classes_agree_with_per_var_query() {
+        let (mut sys, pc, vars) = two_level_system();
+        let occ = sys.constant_occurrence_classes(pc);
+        for (i, &v) in vars.iter().enumerate() {
+            let expected = sys.occurs_accepting(v, pc);
+            let got = occ[v.index()]
+                .iter()
+                .any(|&c| sys.algebra().class_accepting(c));
+            assert_eq!(got, expected, "var V{i}");
+            let anns = sys.occurrence_annotations(v, pc);
+            assert_eq!(occ[v.index()].is_empty(), anns.is_empty(), "var V{i}");
+        }
+        assert!(occ[vars[4].index()]
+            .iter()
+            .all(|&c| !sys.algebra().class_accepting(c)));
+        assert!(occ[vars[5].index()]
+            .iter()
+            .any(|&c| sys.algebra().class_accepting(c)));
     }
 
     #[test]

@@ -246,6 +246,15 @@ impl ConsIndex {
     }
 }
 
+/// The panic behind the storage tiers' `index` (ids are validated on
+/// construction, so reaching it is a bug). Kept out of line so `index`
+/// stays small enough to inline.
+#[cold]
+#[inline(never)]
+fn index_out_of_bounds(what: &str, i: usize, len: usize) -> ! {
+    panic!("{what} index {i} out of bounds (len {len})")
+}
+
 /// An append-only vector with a copy-on-write base: the frozen prefix is
 /// `Arc`-shared between forks, the tail holds everything pushed since.
 /// Epoch truncation watermarks are always at or past the base length
@@ -294,7 +303,8 @@ impl<T: Clone> CowVec<T> {
     /// Panicking index (mirrors `Vec` indexing; ids are validated on
     /// construction).
     fn index(&self, i: usize) -> &T {
-        self.get(i).expect("index within CowVec bounds")
+        self.get(i)
+            .unwrap_or_else(|| index_out_of_bounds("CowVec", i, self.len()))
     }
 
     fn push(&mut self, value: T) {
@@ -398,7 +408,8 @@ impl<T: Clone + Eq + std::hash::Hash> InternTable<T> {
 
     /// Panicking index (ids handed out by `intern` are always in range).
     fn index(&self, i: usize) -> &T {
-        self.get(i).expect("index within InternTable bounds")
+        self.get(i)
+            .unwrap_or_else(|| index_out_of_bounds("InternTable", i, self.len()))
     }
 
     fn lookup(&self, value: &T) -> Option<u32> {

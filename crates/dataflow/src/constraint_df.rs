@@ -21,6 +21,7 @@ pub struct ConstraintDataflow {
     node_vars: Vec<VarId>,
     pc: ConsId,
     facts: Vec<u64>,
+    reachable: Vec<bool>,
 }
 
 impl ConstraintDataflow {
@@ -76,22 +77,24 @@ impl ConstraintDataflow {
             node_vars,
             pc,
             facts: Vec::new(),
+            reachable: Vec::new(),
         })
     }
 
     /// Solves the constraints and computes per-node fact vectors.
+    ///
+    /// The occurrence map runs on [`GenKillAlgebra`] classes, which are
+    /// the fact masks `f(∅)` themselves; a node's facts are the union of
+    /// its classes.
     pub fn solve(&mut self) {
         self.sys.solve();
-        let occ = self.sys.constant_occurrence_map(self.pc);
-        self.facts = self
-            .node_vars
-            .iter()
-            .map(|&v| {
-                occ[v.index()]
-                    .iter()
-                    .fold(0u64, |m, &a| m | self.sys.algebra().apply(a, 0))
-            })
+        let occ = self.sys.constant_occurrence_classes(self.pc);
+        let per_node = self.node_vars.iter().map(|v| &occ[v.index()]);
+        self.facts = per_node
+            .clone()
+            .map(|classes| classes.iter().fold(0u64, |m, c| m | c.0))
             .collect();
+        self.reachable = per_node.map(|classes| !classes.is_empty()).collect();
     }
 
     /// The facts that may hold at a node (bitmask over the spec's fact
@@ -106,9 +109,13 @@ impl ConstraintDataflow {
     }
 
     /// Whether the node is reachable from the entry at all.
-    pub fn reachable(&mut self, n: NodeId) -> bool {
-        let var = self.node_vars[n.index()];
-        !self.sys.occurrence_annotations(var, self.pc).is_empty()
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before [`ConstraintDataflow::solve`].
+    pub fn reachable(&self, n: NodeId) -> bool {
+        assert!(!self.reachable.is_empty(), "call solve() first");
+        self.reachable[n.index()]
     }
 
     /// The underlying constraint system, for diagnostics.

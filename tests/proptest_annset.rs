@@ -4,11 +4,14 @@
 //! `BTreeSet`s of facts, no indexes, no cycle elimination), on random
 //! constraint systems, and must stay identical across
 //! `push_epoch`/`pop_epoch` rollback.
+//!
+//! On the same random systems, the class-valued occurrence map must be
+//! the exact image of the function-valued one under every algebra.
 
 use std::collections::BTreeSet;
 
-use rasc::automata::{Alphabet, Dfa, SymbolId};
-use rasc::constraints::algebra::{Algebra, AnnId, MonoidAlgebra};
+use rasc::automata::{Alphabet, Dfa, PropertySpec, SymbolId};
+use rasc::constraints::algebra::{Algebra, AnnId, GenKillAlgebra, MonoidAlgebra, SubstAlgebra};
 use rasc::constraints::{SetExpr, System, VarId};
 use rasc_devtools::{forall, prop_assert_eq, Config, Rng};
 
@@ -279,20 +282,32 @@ fn apply(
     syms: &[SymbolId],
     con: &RandCon,
 ) {
+    let anns = [0, 1].map(|i| sys.algebra_mut().word(&[syms[i]]));
+    apply_with(sys, vars, probe, o, anns, con);
+}
+
+/// Adds `con` to a system over any algebra; symbol `i` is annotation
+/// `anns[i]`.
+fn apply_with<A: Algebra>(
+    sys: &mut System<A>,
+    vars: &[VarId],
+    probe: rasc::constraints::ConsId,
+    o: rasc::constraints::ConsId,
+    anns: [AnnId; 2],
+    con: &RandCon,
+) {
+    let ann = |sys: &System<A>, s: Option<u8>| match s {
+        Some(i) => anns[i as usize],
+        None => sys.algebra().identity(),
+    };
     match *con {
         RandCon::Edge(a, b, s) => {
-            let ann = match s {
-                Some(i) => sys.algebra_mut().word(&[syms[i as usize]]),
-                None => sys.algebra().identity(),
-            };
+            let ann = ann(sys, s);
             sys.add_ann(SetExpr::var(vars[a]), SetExpr::var(vars[b]), ann)
                 .unwrap();
         }
         RandCon::Const(v, s) => {
-            let ann = match s {
-                Some(i) => sys.algebra_mut().word(&[syms[i as usize]]),
-                None => sys.algebra().identity(),
-            };
+            let ann = ann(sys, s);
             sys.add_ann(SetExpr::cons(probe, []), SetExpr::var(vars[v]), ann)
                 .unwrap();
         }
@@ -371,6 +386,88 @@ fn indexed_storage_matches_naive_reference_across_rollback() {
                 "re-adding the increment after rollback diverged"
             );
             Ok(())
+        },
+    );
+}
+
+/// Solves `cons` over `alg` and checks the class-valued occurrence map
+/// against the function-valued one: per variable, the class set is
+/// exactly the image of the annotation set under `f ↦ f(s₀)`, and the two
+/// agree on whether the probe occurs accepted.
+fn check_classes_match_functions<A: Algebra>(
+    alg: A,
+    make_anns: impl FnOnce(&mut A) -> [AnnId; 2],
+    cons: &[RandCon],
+) -> Result<(), String> {
+    let mut sys = System::new(alg);
+    let anns = make_anns(sys.algebra_mut());
+    let vars: Vec<VarId> = (0..N_VARS).map(|i| sys.var(&format!("v{i}"))).collect();
+    let probe = sys.constructor("probe", &[]);
+    let o = sys.constructor("o", &[rasc::constraints::Variance::Covariant]);
+    for c in cons {
+        apply_with(&mut sys, &vars, probe, o, anns, c);
+    }
+    sys.solve();
+    let fns = sys.constant_occurrence_map(probe);
+    let classes = sys.constant_occurrence_classes(probe);
+    prop_assert_eq!(fns.len(), classes.len(), "map lengths");
+    let start = sys.algebra().start_class();
+    for (x, (fs, cs)) in fns.iter().zip(&classes).enumerate() {
+        let mut image: Vec<_> = fs
+            .iter()
+            .map(|&f| sys.algebra_mut().apply_class(f, start))
+            .collect();
+        image.sort();
+        image.dedup();
+        prop_assert_eq!(cs, &image, "class set of variable {x}");
+        let alg = sys.algebra();
+        prop_assert_eq!(
+            fs.iter().any(|&f| alg.is_accepting(f)),
+            cs.iter().any(|&c| alg.class_accepting(c)),
+            "accept test of variable {x}"
+        );
+    }
+    Ok(())
+}
+
+#[test]
+fn occurrence_classes_are_the_image_of_occurrence_functions() {
+    forall(
+        "occurrence_classes_are_the_image_of_occurrence_functions",
+        Config::cases(96),
+        |rng| arb_cons(rng, 24),
+        |cons| {
+            let (sigma, dfa) = machine();
+            let syms: Vec<SymbolId> = sigma.symbols().collect();
+            check_classes_match_functions(
+                MonoidAlgebra::new(&dfa),
+                |alg| [0, 1].map(|i| alg.word(&[syms[i]])),
+                cons,
+            )?;
+            check_classes_match_functions(
+                GenKillAlgebra::new(2),
+                |alg| [alg.transfer(0b01, 0b10), alg.transfer(0b10, 0b01)],
+                cons,
+            )?;
+            let spec = PropertySpec::parse(
+                "start state Closed : | open(x) -> Opened;\n\
+                 accept state Opened : | close(x) -> Closed;",
+            )
+            .unwrap();
+            let (sigma, dfa) = spec.compile();
+            let (open, close) = (
+                sigma.lookup("open").unwrap(),
+                sigma.lookup("close").unwrap(),
+            );
+            check_classes_match_functions(
+                SubstAlgebra::new(&dfa),
+                |alg| {
+                    let x = alg.param("x");
+                    let fd = alg.label("fd");
+                    [alg.instantiate(open, &[(x, fd)]), alg.plain(close)]
+                },
+                cons,
+            )
         },
     );
 }
