@@ -9,8 +9,7 @@
 //! exits non-zero when the guard is violated. The same ≤5% budget is
 //! enforced for [`rasc_obs::MetricsRegistry`] — the aggregating sink
 //! `rasc serve` keeps permanently installed — since its hot path is a
-//! shard lookup plus one relaxed atomic add. A further, informational
-//! row measures a real recording subscriber (`Recorder`).
+//! shard lookup plus one relaxed atomic add.
 //!
 //! Usage: `observability [out.json]`.
 
@@ -23,7 +22,7 @@ use rasc_core::algebra::MonoidAlgebra;
 use rasc_core::{SetExpr, System};
 use rasc_devtools::bench;
 use rasc_inc::json::{obj, Json};
-use rasc_obs::{scoped, EventSink, MetricsRegistry, NoopSink, Recorder};
+use rasc_obs::{scoped, EventSink, MetricsRegistry, NoopSink};
 
 /// Builds and fully solves the workload, returning the probe answer so
 /// the optimizer keeps the work.
@@ -65,21 +64,13 @@ fn main() {
             solve_once(&machine, &wl)
         })
     });
-    let recorder_sink: Arc<Recorder> = Arc::new(Recorder::new());
-    let recording = bench("recorder", min_iters, min_time, || {
-        scoped(Arc::clone(&recorder_sink) as Arc<dyn EventSink>, || {
-            solve_once(&machine, &wl)
-        })
-    });
 
     let ratio = noop.median_ns / baseline.median_ns;
     let registry_ratio = registry.median_ns / baseline.median_ns;
-    let recorder_ratio = recording.median_ns / baseline.median_ns;
     for (label, stats, r) in [
         ("no sink", &baseline, 1.0),
         ("noop sink", &noop, ratio),
         ("metrics registry", &registry, registry_ratio),
-        ("recorder", &recording, recorder_ratio),
     ] {
         println!(
             "{label:>16}: median {:.3} ms over {} iters ({:.3}x baseline)",
@@ -97,10 +88,8 @@ fn main() {
         ("baseline_median_ns", Json::Num(baseline.median_ns)),
         ("noop_sink_median_ns", Json::Num(noop.median_ns)),
         ("metrics_registry_median_ns", Json::Num(registry.median_ns)),
-        ("recorder_median_ns", Json::Num(recording.median_ns)),
         ("noop_overhead_ratio", Json::Num(ratio)),
         ("metrics_registry_overhead_ratio", Json::Num(registry_ratio)),
-        ("recorder_overhead_ratio", Json::Num(recorder_ratio)),
         ("max_allowed_ratio", Json::Num(1.05)),
     ]);
     std::fs::write(&out_path, report.render() + "\n").expect("write report");

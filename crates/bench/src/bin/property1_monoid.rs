@@ -5,8 +5,17 @@
 //! The original automaton is unpublished; this measures our POSIX-semantics
 //! reconstruction (see `rasc_pdmc::properties::full_privilege_property`)
 //! and, for context, the simple 3-state Figure 3 property.
+//!
+//! It also times the §8 claim that, once the monoid is known, composing
+//! two annotations is a table lookup: memoized `MonoidAlgebra::compose`
+//! on the full property, next to the bit-parallel gen/kill algebra's
+//! compose (§3.3) for scale.
+
+use std::time::Duration;
 
 use rasc_automata::{Monoid, PropertySpec};
+use rasc_core::algebra::{Algebra, GenKillAlgebra, MonoidAlgebra};
+use rasc_devtools::bench;
 use rasc_pdmc::properties;
 
 fn main() {
@@ -47,4 +56,35 @@ fn main() {
         monoid.len() < 1000,
         "realistic property should have a tiny monoid"
     );
+
+    // Memoized composition on the full property: after one warming pass
+    // over every symbol pair, the steady state is a hash lookup.
+    let mut alg = MonoidAlgebra::new(&dfa);
+    let anns: Vec<_> = sigma.symbols().map(|s| alg.symbol(s)).collect();
+    for &a in &anns {
+        for &c in &anns {
+            let _ = alg.compose(a, c);
+        }
+    }
+    let (min_iters, min_time) = (1000, Duration::from_millis(200));
+    let mut i = 0usize;
+    let memoized = bench("property1_compose_memoized", min_iters, min_time, || {
+        let a = anns[i % anns.len()];
+        let c = anns[(i / anns.len()) % anns.len()];
+        i += 1;
+        alg.compose(a, c)
+    });
+    let mut gk = GenKillAlgebra::new(32);
+    let t1 = gk.transfer(0xffff, 0xffff_0000);
+    let t2 = gk.transfer(0x0f0f, 0xf0f0);
+    let genkill = bench("genkill_compose", min_iters, min_time, || {
+        gk.compose(t1, t2)
+    });
+    println!();
+    for stats in [&memoized, &genkill] {
+        println!(
+            "{:<28} median {:.0} ns over {} iters",
+            stats.name, stats.median_ns, stats.iters
+        );
+    }
 }

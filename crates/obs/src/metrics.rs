@@ -27,7 +27,9 @@
 //! snapshot; once emitters are quiescent (e.g. all requests answered), a
 //! snapshot is exact. Snapshots render to Prometheus text exposition
 //! ([`MetricsSnapshot::to_prometheus`]) or JSON
-//! ([`MetricsSnapshot::to_json`]) for the `rasc-serve` admin endpoint.
+//! ([`MetricsSnapshot::to_json`]) for the `rasc-serve` admin endpoint,
+//! and to a plain-text table ([`MetricsSnapshot::to_text`]) for
+//! `rasc … --profile`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -392,6 +394,39 @@ impl MetricsSnapshot {
         out
     }
 
+    /// Renders the human-readable `--profile` report: `counters:`,
+    /// `spans (completed):` and `histograms:` sections (each omitted when
+    /// empty), one name-sorted line per metric, histograms as
+    /// `n= min= max= sum=`.
+    pub fn to_text(&self) -> String {
+        let mut out = String::new();
+        for (title, map) in [
+            ("counters", &self.counters),
+            ("spans (completed)", &self.spans),
+        ] {
+            if !map.is_empty() {
+                let _ = writeln!(out, "{title}:");
+                for (name, v) in map {
+                    let _ = writeln!(out, "  {name:<40} {v}");
+                }
+            }
+        }
+        if !self.histograms.is_empty() {
+            let _ = writeln!(out, "histograms:");
+            for (name, h) in &self.histograms {
+                let _ = writeln!(
+                    out,
+                    "  {name:<40} n={} min={} max={} sum={}",
+                    h.count(),
+                    h.min,
+                    h.max,
+                    h.sum
+                );
+            }
+        }
+        out
+    }
+
     /// Renders the snapshot as a JSON object with `counters`, `gauges`,
     /// `spans`, and `histograms` members; each histogram reports count,
     /// sum, min, max, and the p50/p90/p99 estimates.
@@ -550,6 +585,27 @@ mod tests {
         assert!(json.contains("\"count\":1"), "{json}");
         assert!(json.contains("\"p50\":"), "{json}");
         assert!(json.contains("\"p99\":"), "{json}");
+    }
+
+    #[test]
+    fn text_rendering_lists_each_section() {
+        let reg = MetricsRegistry::new();
+        assert_eq!(reg.snapshot().to_text(), "", "empty sections are omitted");
+        reg.counter("a", 2);
+        reg.counter("a", 3);
+        reg.histogram("h", 10);
+        reg.histogram("h", 4);
+        reg.span_begin("s");
+        reg.span_end("s");
+        let text = reg.snapshot().to_text();
+        assert_eq!(
+            text,
+            format!(
+                "counters:\n  {:<40} 5\nspans (completed):\n  {:<40} 1\n\
+                 histograms:\n  {:<40} n=2 min=4 max=10 sum=14\n",
+                "a", "s", "h"
+            )
+        );
     }
 
     #[test]

@@ -33,7 +33,8 @@
 //! `{"cmd":"shutdown"}` or on SIGINT/SIGTERM; with `--snapshot-dir DIR`
 //! it warm-starts every connection from `DIR/current.snap`, routes
 //! in-band `{"cmd":"snapshot"}` commands there, and checkpoints on
-//! graceful shutdown. `--trace`/`--profile` work as in `batch`.
+//! graceful shutdown. `--trace`/`--profile` work as in `batch`;
+//! `--profile` prints the server's own metrics registry after the drain.
 //! `--admin-addr` opens the telemetry plane — an HTTP listener
 //! answering `GET /metrics` (Prometheus text), `GET /stats` (JSON
 //! with quantile estimates), and `GET /healthz` — and `--slow-millis N`
@@ -425,67 +426,39 @@ fn points_to(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// The `--trace`/`--profile` observability sinks shared by `batch` and
-/// `serve`: a Chrome trace-event collector, an in-memory recorder, and
-/// the single (possibly fanned-out) sink combining whichever were
-/// requested.
-struct ObsSetup {
-    chrome: Option<std::sync::Arc<rasc::obs::ChromeTraceSink>>,
-    recorder: Option<std::sync::Arc<rasc::obs::Recorder>>,
-    sink: Option<std::sync::Arc<dyn rasc::obs::EventSink>>,
+/// The `--trace` sink shared by `batch` and `serve`: a Chrome
+/// trace-event collector, armed to save itself if the process unwinds
+/// before [`finish_obs`] (the partial trace is still a well-formed,
+/// Perfetto-loadable JSON array).
+fn trace_sink(opts: &Opts) -> Option<std::sync::Arc<rasc::obs::ChromeTraceSink>> {
+    opts.value("trace").map(|path| {
+        let sink = std::sync::Arc::new(rasc::obs::ChromeTraceSink::new());
+        sink.save_on_drop(std::path::PathBuf::from(path));
+        sink
+    })
 }
 
-impl ObsSetup {
-    fn from_opts(opts: &Opts) -> ObsSetup {
-        use std::sync::Arc;
-
-        use rasc::obs;
-
-        // Arm save-on-drop immediately: if the workload panics or the
-        // process unwinds before `finish`, the partial trace is still
-        // written as a well-formed (Perfetto-loadable) JSON array. The
-        // explicit `save` in `finish` disarms it.
-        let chrome = opts.value("trace").map(|path| {
-            let sink = Arc::new(obs::ChromeTraceSink::new());
-            sink.save_on_drop(std::path::PathBuf::from(path));
-            sink
-        });
-        let recorder = opts.flag("profile").then(|| Arc::new(obs::Recorder::new()));
-        let mut sinks: Vec<Arc<dyn obs::EventSink>> = Vec::new();
-        if let Some(c) = &chrome {
-            sinks.push(Arc::clone(c) as Arc<dyn obs::EventSink>);
-        }
-        if let Some(r) = &recorder {
-            sinks.push(Arc::clone(r) as Arc<dyn obs::EventSink>);
-        }
-        let sink = match sinks.len() {
-            0 => None,
-            1 => sinks.pop(),
-            _ => Some(Arc::new(obs::Fanout::new(sinks)) as Arc<dyn obs::EventSink>),
-        };
-        ObsSetup {
-            chrome,
-            recorder,
-            sink,
-        }
+/// Saves the Chrome trace (if requested) and prints the `--profile`
+/// table of `metrics` (if requested) once the workload is done.
+fn finish_obs(
+    opts: &Opts,
+    trace: Option<&rasc::obs::ChromeTraceSink>,
+    metrics: Option<rasc::obs::MetricsSnapshot>,
+) -> Result<(), String> {
+    if let (Some(sink), Some(path)) = (trace, opts.value("trace")) {
+        sink.save(std::path::Path::new(path))
+            .map_err(|e| format!("cannot write trace `{path}`: {e}"))?;
+        eprintln!("rasc: wrote {} trace events to {path}", sink.len());
     }
-
-    /// Saves the Chrome trace (if requested) and prints the recorder
-    /// summary (if requested) once the workload is done.
-    fn finish(&self, opts: &Opts) -> Result<(), String> {
-        if let (Some(sink), Some(path)) = (&self.chrome, opts.value("trace")) {
-            sink.save(std::path::Path::new(path))
-                .map_err(|e| format!("cannot write trace `{path}`: {e}"))?;
-            eprintln!("rasc: wrote {} trace events to {path}", sink.len());
-        }
-        if let Some(r) = &self.recorder {
-            eprint!("{}", r.report());
-        }
-        Ok(())
+    if let Some(snap) = metrics {
+        eprint!("{}", snap.to_text());
     }
+    Ok(())
 }
 
 fn batch(opts: &Opts) -> Result<(), String> {
+    use std::sync::Arc;
+
     use rasc::obs;
 
     let spec_text = read(opts.required("spec")?)?;
@@ -493,10 +466,25 @@ fn batch(opts: &Opts) -> Result<(), String> {
     let (sigma, dfa) = spec.compile();
 
     // Observability: --trace collects a Chrome trace-event file,
-    // --profile an in-memory event summary; both fan out to one scoped
-    // sink so instrumentation costs nothing when neither is requested.
-    let setup = ObsSetup::from_opts(opts);
-    let _guard = setup.sink.clone().map(obs::ScopedSink::install);
+    // --profile aggregates into a metrics registry; both fan out to one
+    // scoped sink so instrumentation costs nothing when neither is
+    // requested.
+    let trace = trace_sink(opts);
+    let registry = opts
+        .flag("profile")
+        .then(|| Arc::new(obs::MetricsRegistry::new()));
+    let mut sinks: Vec<Arc<dyn obs::EventSink>> = Vec::new();
+    if let Some(t) = &trace {
+        sinks.push(Arc::clone(t) as Arc<dyn obs::EventSink>);
+    }
+    if let Some(r) = &registry {
+        sinks.push(Arc::clone(r) as Arc<dyn obs::EventSink>);
+    }
+    let _guard = match sinks.len() {
+        0 => None,
+        1 => sinks.pop().map(obs::ScopedSink::install),
+        _ => Some(obs::ScopedSink::install(Arc::new(obs::Fanout::new(sinks)))),
+    };
 
     // The framing (one response line per command, flushed immediately so
     // pipe-driven clients never wait on a buffer) is the library's
@@ -513,10 +501,12 @@ fn batch(opts: &Opts) -> Result<(), String> {
     };
     result.map_err(|e| e.to_string())?;
 
-    setup.finish(opts)
+    finish_obs(opts, trace.as_deref(), registry.map(|r| r.snapshot()))
 }
 
 fn serve(opts: &Opts) -> Result<(), String> {
+    use std::sync::Arc;
+
     let spec_text = read(opts.required("spec")?)?;
     let spec = PropertySpec::parse(&spec_text).map_err(|e| e.to_string())?;
     let (sigma, dfa) = spec.compile();
@@ -558,8 +548,10 @@ fn serve(opts: &Opts) -> Result<(), String> {
     // checkpoint if --snapshot-dir is set, then exit cleanly.
     config.shutdown_flag = signals::install();
 
-    let setup = ObsSetup::from_opts(opts);
-    config.sink = setup.sink.clone();
+    // --profile needs no sink of its own: the server's metrics registry
+    // already aggregates every event, and is printed after the drain.
+    let trace = trace_sink(opts);
+    config.sink = trace.clone().map(|t| t as Arc<dyn rasc::obs::EventSink>);
 
     let server = rasc::serve::Server::bind(addr, sigma, &dfa, config.clone())
         .map_err(|e| format!("cannot bind `{addr}`: {e}"))?;
@@ -570,7 +562,8 @@ fn serve(opts: &Opts) -> Result<(), String> {
         config.threads,
         config.max_connections
     );
-    if let Some(admin) = server.handle().admin_addr() {
+    let handle = server.handle();
+    if let Some(admin) = handle.admin_addr() {
         eprintln!("rasc: admin endpoint on http://{admin} (/metrics, /stats, /healthz)");
     }
     let report = server.run().map_err(|e| e.to_string())?;
@@ -579,7 +572,11 @@ fn serve(opts: &Opts) -> Result<(), String> {
         report.connections, report.requests, report.rejected
     );
 
-    setup.finish(opts)
+    finish_obs(
+        opts,
+        trace.as_deref(),
+        opts.flag("profile").then(|| handle.metrics_snapshot()),
+    )
 }
 
 /// `rasc stats`: poll a running server's admin endpoint over plain

@@ -573,3 +573,54 @@ fn batch_reports_protocol_errors_in_band() {
     assert!(text.lines().next().unwrap().contains("error"), "{text}");
     assert!(text.lines().nth(1).unwrap().contains("declare"), "{text}");
 }
+
+#[test]
+fn serve_profile_prints_the_server_registry_after_the_drain() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rasc"))
+        .args([
+            "serve",
+            "--spec",
+            "assets/specs/privilege.spec",
+            "--addr",
+            "127.0.0.1:0",
+            "--profile",
+        ])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stderr = BufReader::new(child.stderr.take().unwrap());
+    let mut banner = String::new();
+    stderr.read_line(&mut banner).unwrap();
+    let addr = banner
+        .strip_prefix("rasc: serving on ")
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no `serving on` line: {banner}"))
+        .to_owned();
+
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    writeln!(stream, r#"{{"cmd":"add","lhs":"X","rhs":"Y"}}"#).unwrap();
+    writeln!(stream, r#"{{"cmd":"shutdown"}}"#).unwrap();
+    let mut responses = String::new();
+    stream.read_to_string(&mut responses).unwrap();
+    assert!(responses.contains(r#""ok":"add""#), "{responses}");
+
+    // After the drain, --profile prints the server's own registry: the
+    // connection counter and the completed connection span.
+    let mut rest = String::new();
+    stderr.read_to_string(&mut rest).unwrap();
+    assert!(child.wait().unwrap().success(), "{rest}");
+    assert!(rest.contains("rasc: drained"), "{rest}");
+    let profile = &rest[rest.find("rasc: drained").unwrap()..];
+    assert!(profile.contains("counters:"), "{rest}");
+    assert!(profile.contains("serve.connections.opened"), "{rest}");
+    assert!(profile.contains("spans (completed):"), "{rest}");
+    assert!(profile.contains("serve.connection "), "{rest}");
+}

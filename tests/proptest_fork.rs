@@ -13,8 +13,8 @@
 //! * **Epoch rollback on a fork returns to the base fixpoint** — epochs
 //!   opened post-fork journal only overlay entries, so `pop_epoch`
 //!   restores the shared base's observables exactly, and the obs
-//!   counters a recorder collects over the fork's lifetime net out to
-//!   zero (nothing of the shared base is ever "removed").
+//!   counters a metrics registry aggregates over the fork's lifetime
+//!   net out to zero (nothing of the shared base is ever "removed").
 //!
 //! Generators mirror the snapshot fault suite: random constraints over a
 //! small fixed shape, compared through sorted semantic signatures.
@@ -24,7 +24,7 @@ use std::sync::Arc;
 use rasc::automata::{Alphabet, Dfa, SymbolId};
 use rasc::constraints::algebra::{Algebra, MonoidAlgebra};
 use rasc::constraints::{BaseSystem, ConsId, SetExpr, System, VarId, Variance};
-use rasc::obs::{scoped, Recorder};
+use rasc::obs::{scoped, MetricsRegistry};
 use rasc::Session;
 use rasc_devtools::{forall, prop_assert, prop_assert_eq, Config, Rng};
 
@@ -282,12 +282,12 @@ fn fork_epoch_rollback_returns_to_the_base_fixpoint() {
             let shape = dense_shape();
             let base_stats = base.stats();
 
-            // A recorder installed for the fork's whole lifetime sees
+            // A registry installed for the fork's whole lifetime sees
             // every mutation the fork performs — and must see the epoch's
             // additions and its rollback cancel exactly, because nothing
             // the shared base owns is ever journaled or removed.
-            let rec = Arc::new(Recorder::new());
-            scoped(Arc::clone(&rec) as _, || {
+            let reg = Arc::new(MetricsRegistry::new());
+            scoped(Arc::clone(&reg) as _, || {
                 let mut fork = Session::fork_from(&base);
                 fork.push_epoch();
                 for c in extra {
@@ -321,6 +321,8 @@ fn fork_epoch_rollback_returns_to_the_base_fixpoint() {
                     "constructors not rolled back"
                 );
 
+                let snap = reg.snapshot();
+                let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
                 for (added, removed) in [
                     ("solver.edges.added", "solver.edges.removed"),
                     ("solver.lbs.added", "solver.lbs.removed"),
@@ -329,8 +331,8 @@ fn fork_epoch_rollback_returns_to_the_base_fixpoint() {
                     ("solver.fuel", "solver.fuel.rolled_back"),
                 ] {
                     prop_assert_eq!(
-                        i128::from(rec.counter_value(added)),
-                        i128::from(rec.counter_value(removed)),
+                        counter(added),
+                        counter(removed),
                         "`{added}` and `{removed}` must cancel after a fork's rollback"
                     );
                 }

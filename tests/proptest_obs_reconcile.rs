@@ -1,7 +1,8 @@
 //! Property test for the observability subsystem (`rasc-obs`): the
-//! counters a [`Recorder`] collects must reconcile *exactly* with the
-//! solver's own [`SolverStats`] — on random systems, at every solve
-//! boundary, and across `push_epoch`/`pop_epoch` rollback.
+//! counters a [`MetricsRegistry`] aggregates must reconcile *exactly*
+//! with the solver's own [`SolverStats`] — on random systems, under both
+//! solver configurations, at every solve boundary, and across
+//! `push_epoch`/`pop_epoch` rollback.
 //!
 //! The solver batches hot-path counter deltas and flushes them when a
 //! bounded solve returns and when an epoch pop finishes, as matched
@@ -11,7 +12,7 @@
 //! solver.edges.removed == stats().edges`, and `solver.facts −
 //! solver.facts.rolled_back == stats().facts_processed`. Epoch events
 //! must balance too: every push is eventually popped, committed, or
-//! still open.
+//! still open, and every unbounded solve tallies a `solver.solve` span.
 
 use std::sync::Arc;
 
@@ -20,7 +21,7 @@ use rasc::constraints::algebra::MonoidAlgebra;
 use rasc::constraints::{
     Budget, ConsId, SetExpr, SolverConfig, SolverStats, System, VarId, Variance,
 };
-use rasc::obs::{scoped, Recorder};
+use rasc::obs::{scoped, MetricsRegistry, MetricsSnapshot};
 use rasc_devtools::{forall, prop_assert, prop_assert_eq, Config, Rng};
 
 const N_VARS: usize = 6;
@@ -133,11 +134,17 @@ fn apply(sys: &mut System<MonoidAlgebra>, shape: &Shape, syms: &[SymbolId], c: &
     }
 }
 
-/// Every net recorder count must equal its solver statistic. Called only
+/// Counter `name` in `snap` (0 when never emitted).
+fn counter(snap: &MetricsSnapshot, name: &str) -> u64 {
+    snap.counters.get(name).copied().unwrap_or(0)
+}
+
+/// Every net registry count must equal its solver statistic. Called only
 /// at flush boundaries (after an unbounded solve or a finished pop).
-fn reconcile(rec: &Recorder, stats: &SolverStats, n_clashes: usize) -> Result<(), String> {
+fn reconcile(reg: &MetricsRegistry, stats: &SolverStats, n_clashes: usize) -> Result<(), String> {
+    let snap = reg.snapshot();
     let net = |added: &str, removed: &str| -> i128 {
-        i128::from(rec.counter_value(added)) - i128::from(rec.counter_value(removed))
+        i128::from(counter(&snap, added)) - i128::from(counter(&snap, removed))
     };
     let checks: [(&str, &str, usize); 9] = [
         ("solver.edges.added", "solver.edges.removed", stats.edges),
@@ -177,11 +184,11 @@ fn reconcile(rec: &Recorder, stats: &SolverStats, n_clashes: usize) -> Result<()
 }
 
 #[test]
-fn recorder_counters_reconcile_with_solver_stats() {
+fn registry_counters_reconcile_with_solver_stats() {
     let (sigma, dfa) = machine();
     let syms: Vec<SymbolId> = sigma.symbols().collect();
     forall(
-        "recorder_counters_reconcile_with_solver_stats",
+        "registry_counters_reconcile_with_solver_stats",
         Config::cases(64),
         |rng| (0..rng.gen_range(1..20)).map(|_| arb_con(rng)).collect(),
         |cons: &Vec<RandCon>| {
@@ -194,10 +201,10 @@ fn recorder_counters_reconcile_with_solver_stats() {
                 },
             ];
             for config in configs {
-                // The recorder is installed before the system exists, so
+                // The registry is installed before the system exists, so
                 // it observes every mutation of the system's lifetime.
-                let rec = Arc::new(Recorder::new());
-                scoped(Arc::clone(&rec) as _, || {
+                let reg = Arc::new(MetricsRegistry::new());
+                scoped(Arc::clone(&reg) as _, || {
                     let mut sys = System::with_config(MonoidAlgebra::new(&dfa), config);
                     let shape = declare(&mut sys);
                     let (first, second) = cons.split_at(cons.len() / 2);
@@ -206,7 +213,7 @@ fn recorder_counters_reconcile_with_solver_stats() {
                         apply(&mut sys, &shape, &syms, c);
                     }
                     sys.solve();
-                    reconcile(&rec, &sys.stats(), sys.clashes().len())?;
+                    reconcile(&reg, &sys.stats(), sys.clashes().len())?;
 
                     // Speculative epoch: more constraints, a deliberately
                     // starved bounded solve (spends fuel, usually
@@ -218,19 +225,26 @@ fn recorder_counters_reconcile_with_solver_stats() {
                     }
                     let _ = sys.solve_bounded(&Budget::unlimited().with_steps(2));
                     sys.solve();
-                    reconcile(&rec, &sys.stats(), sys.clashes().len())?;
+                    reconcile(&reg, &sys.stats(), sys.clashes().len())?;
 
                     prop_assert!(sys.pop_epoch(), "epoch must pop");
-                    reconcile(&rec, &sys.stats(), sys.clashes().len())?;
+                    reconcile(&reg, &sys.stats(), sys.clashes().len())?;
 
                     // Epoch events balance: every push was popped,
                     // committed, or is still open (none here).
+                    let snap = reg.snapshot();
                     prop_assert_eq!(
-                        rec.counter_value("solver.epochs.pushed"),
-                        rec.counter_value("solver.epochs.popped")
-                            + rec.counter_value("solver.epochs.committed")
+                        counter(&snap, "solver.epochs.pushed"),
+                        counter(&snap, "solver.epochs.popped")
+                            + counter(&snap, "solver.epochs.committed")
                             + sys.epoch_depth() as u64,
                         "epoch push/pop/commit events must balance"
+                    );
+                    // The registry also tallies spans: at least the two
+                    // unbounded solves above must have completed.
+                    prop_assert!(
+                        snap.spans.get("solver.solve").copied().unwrap_or(0) >= 2,
+                        "solver.solve spans must be tallied"
                     );
                     Ok(())
                 })?;
