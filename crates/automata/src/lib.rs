@@ -38,6 +38,7 @@ pub mod closure;
 pub mod compile_cache;
 mod dfa;
 mod error;
+mod idhash;
 mod monoid;
 mod nfa;
 pub mod regex;
@@ -66,6 +67,7 @@ pub(crate) fn invariant<T>(v: Option<T>, what: &str) -> T {
 }
 pub use dfa::{Dfa, StateId};
 pub use error::{AutomataError, Result};
+pub use idhash::{IdHashMap, IdHasher};
 pub use monoid::{adversarial_machine, FnId, Monoid, ReprFn};
 pub use nfa::{Nfa, NfaStateId};
 pub use regex::Regex;

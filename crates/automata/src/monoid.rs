@@ -16,6 +16,7 @@ use std::collections::HashMap;
 
 use crate::alphabet::{Alphabet, SymbolId};
 use crate::dfa::{Dfa, StateId};
+use crate::idhash::IdHashMap;
 
 /// An interned representative function (an element of `F_M^≡`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -91,7 +92,7 @@ pub struct Monoid {
     /// Generator function per alphabet symbol.
     generators: Vec<FnId>,
     /// Memoized composition: `(later, earlier) → later ∘ earlier`.
-    memo: HashMap<(FnId, FnId), FnId>,
+    memo: IdHashMap<(FnId, FnId), FnId>,
     /// Whether the monoid has been closed under composition.
     closed: bool,
 }
@@ -118,7 +119,7 @@ impl Monoid {
             by_fn: HashMap::new(),
             identity: FnId(0),
             generators: Vec::new(),
-            memo: HashMap::new(),
+            memo: IdHashMap::default(),
             closed: false,
         };
         let identity = monoid.intern(ReprFn((0..n as u32).collect()));
@@ -372,7 +373,7 @@ impl Monoid {
             by_fn,
             identity: FnId(crate::id_u32(identity_index, "monoid functions")),
             generators,
-            memo: HashMap::new(),
+            memo: IdHashMap::default(),
             closed: false,
         })
     }

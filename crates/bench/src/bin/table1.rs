@@ -9,13 +9,21 @@
 //! constraint solver (§5), and the direct PDS `post*` checker (the MOPS
 //! stand-in).
 //!
+//! On the two large packages it also guards the per-node query: the
+//! median `ConstraintChecker::pc_annotations` time over 32 seeded nodes
+//! that `pc` reaches must stay below one whole-program `violations()`
+//! scan of the same checker.
+//!
 //! Usage: `table1 [--quick]` (`--quick` divides sizes by 10).
+
+use std::time::Duration;
 
 use rasc_bench::workload::{generate, WorkloadConfig};
 use rasc_bench::{secs, timed};
-use rasc_cfgir::{Cfg, EdgeLabel};
+use rasc_cfgir::{Cfg, EdgeLabel, NodeId};
 use rasc_core::forward::ForwardSystem;
 use rasc_core::Variance;
+use rasc_devtools::Rng;
 use rasc_pdmc::{properties, ConstraintChecker};
 use rasc_pushdown::PdsChecker;
 
@@ -25,12 +33,14 @@ fn main() {
     let (sigma, property) = properties::full_privilege_property();
     let event_names: Vec<String> = sigma.symbols().map(|s| sigma.name(s).to_owned()).collect();
 
+    // (name, statements, programs, run the per-node query guard)
     let packages = [
-        ("VixieCron-like", 4_000usize, 2usize),
-        ("At-like", 6_000, 2),
-        ("Sendmail-like", 222_000, 1),
-        ("Apache-like", 229_000, 1),
+        ("VixieCron-like", 4_000usize, 2usize, false),
+        ("At-like", 6_000, 2, false),
+        ("Sendmail-like", 222_000, 1, true),
+        ("Apache-like", 229_000, 1, true),
     ];
+    let mut guards = Vec::new();
 
     println!("Table 1 (reproduction): process privilege property");
     println!(
@@ -44,7 +54,7 @@ fn main() {
         "Benchmark", "Size", "Programs", "Viol?", "bidi (s)", "forward (s)", "pds/MOPS (s)"
     );
 
-    for (name, size, programs) in packages {
+    for (name, size, programs, guard) in packages {
         let size = size / scale;
         let mut bidi_total = std::time::Duration::ZERO;
         let mut fwd_total = std::time::Duration::ZERO;
@@ -87,6 +97,12 @@ fn main() {
             );
             assert_eq!(bidi_violations > 0, fwd_violations > 0);
             any_violation |= bidi_violations > 0;
+            if guard {
+                guards.push((
+                    name,
+                    query_guard(&cfg, &sigma, &property, 0x5EED + pnum as u64),
+                ));
+            }
         }
         println!(
             "{:<16} {:>8} {:>9} {:>6} {:>12} {:>12} {:>12}",
@@ -100,7 +116,52 @@ fn main() {
         );
     }
     println!();
+    for (name, (query, scan)) in &guards {
+        println!(
+            "{name}: pc_annotations median {:.2} ms over 32 nodes, violations() {:.2} ms",
+            query.as_secs_f64() * 1e3,
+            scan.as_secs_f64() * 1e3
+        );
+    }
+    for (name, (query, scan)) in &guards {
+        assert!(
+            query < scan,
+            "{name}: one per-node query ({query:?}) is not cheaper than the whole-program scan ({scan:?})"
+        );
+    }
     println!("paper (2.0 GHz Core Duo): VixieCron .52/.57, At .52/.62, Sendmail 2.3/5.1, Apache .6/.7 (BANSHEE/MOPS seconds)");
+}
+
+/// Times, on a solved bidirectional checker, `pc_annotations` at 32
+/// seeded nodes that `pc` reaches (median) and the whole-program
+/// `violations()` scan (median of three).
+fn query_guard(
+    cfg: &Cfg,
+    sigma: &rasc_automata::Alphabet,
+    property: &rasc_automata::Dfa,
+    seed: u64,
+) -> (Duration, Duration) {
+    let mut checker = ConstraintChecker::new(cfg, sigma, property, "main").expect("main exists");
+    checker.solve();
+    let mut scans: Vec<Duration> = (0..3)
+        .map(|_| timed(|| checker.violations().len()).1)
+        .collect();
+    scans.sort();
+    let mut rng = Rng::new(seed);
+    let mut queries = Vec::new();
+    for _ in 0..32 * 64 {
+        if queries.len() == 32 {
+            break;
+        }
+        let node = NodeId::from_index(rng.gen_range(0..cfg.num_nodes()));
+        let (anns, t) = timed(|| checker.pc_annotations(node));
+        if !anns.is_empty() {
+            queries.push(t);
+        }
+    }
+    assert_eq!(queries.len(), 32, "too few nodes reached by pc");
+    queries.sort();
+    (queries[16], scans[1])
 }
 
 /// The §6.1 encoding on the forward solver.

@@ -1,6 +1,6 @@
 //! The n-bit gen/kill algebra (§3.3) with bit-parallel composition.
 
-use std::collections::HashMap;
+use rasc_automata::IdHashMap;
 
 use super::{Algebra, AnnId, ClassId};
 
@@ -37,7 +37,7 @@ pub struct GenKillAlgebra {
     /// overrides a kill of the same bit, so kill bits shadowed by gen are
     /// normalized away).
     anns: Vec<(u64, u64)>,
-    by_ann: HashMap<(u64, u64), AnnId>,
+    by_ann: IdHashMap<(u64, u64), AnnId>,
 }
 
 impl GenKillAlgebra {
@@ -57,7 +57,7 @@ impl GenKillAlgebra {
             bits,
             mask,
             anns: Vec::new(),
-            by_ann: HashMap::new(),
+            by_ann: IdHashMap::default(),
         };
         alg.intern(0, 0); // identity
         alg

@@ -6,13 +6,15 @@
 //! `push_epoch`/`pop_epoch` rollback.
 //!
 //! On the same random systems, the class-valued occurrence map must be
-//! the exact image of the function-valued one under every algebra.
+//! the exact image of the function-valued one under every algebra, and
+//! the per-variable occurrence query must agree with an independent
+//! top-down descent — before, inside and after a rollback epoch.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 use rasc::automata::{Alphabet, Dfa, PropertySpec, SymbolId};
 use rasc::constraints::algebra::{Algebra, AnnId, GenKillAlgebra, MonoidAlgebra, SubstAlgebra};
-use rasc::constraints::{SetExpr, System, VarId};
+use rasc::constraints::{ConsId, SetExpr, System, VarId};
 use rasc_devtools::{forall, prop_assert_eq, Config, Rng};
 
 const N_VARS: usize = 8;
@@ -390,27 +392,50 @@ fn indexed_storage_matches_naive_reference_across_rollback() {
     );
 }
 
-/// Solves `cons` over `alg` and checks the class-valued occurrence map
-/// against the function-valued one: per variable, the class set is
-/// exactly the image of the annotation set under `f ↦ f(s₀)`, and the two
-/// agree on whether the probe occurs accepted.
-fn check_classes_match_functions<A: Algebra>(
-    alg: A,
-    make_anns: impl FnOnce(&mut A) -> [AnnId; 2],
-    cons: &[RandCon],
-) -> Result<(), String> {
-    let mut sys = System::new(alg);
-    let anns = make_anns(sys.algebra_mut());
-    let vars: Vec<VarId> = (0..N_VARS).map(|i| sys.var(&format!("v{i}"))).collect();
-    let probe = sys.constructor("probe", &[]);
-    let o = sys.constructor("o", &[rasc::constraints::Variance::Covariant]);
-    for c in cons {
-        apply_with(&mut sys, &vars, probe, o, anns, c);
+/// The reference for `System::occurrence_annotations`: a top-down
+/// breadth-first descent over `(variable, composed outer annotation)`
+/// pairs, written on the public `System::lower_bounds` — independent of
+/// the bottom-up fixpoint the solver answers the query with.
+fn descent_oracle<A: Algebra>(sys: &mut System<A>, x: VarId, target: ConsId) -> Vec<AnnId> {
+    let id = sys.algebra().identity();
+    let mut found: BTreeSet<AnnId> = BTreeSet::new();
+    let mut seen: BTreeSet<(VarId, AnnId)> = BTreeSet::from([(x, id)]);
+    let mut queue: VecDeque<(VarId, AnnId)> = VecDeque::from([(x, id)]);
+    while let Some((v, outer)) = queue.pop_front() {
+        let entries: Vec<(ConsId, Vec<VarId>, AnnId)> = sys
+            .lower_bounds(v)
+            .map(|(cons, args, f)| (cons, args.to_vec(), f))
+            .collect();
+        for (cons, args, f) in entries {
+            let total = sys.algebra_mut().compose(outer, f);
+            if cons == target {
+                found.insert(total);
+            }
+            for arg in args {
+                if seen.insert((arg, total)) {
+                    queue.push_back((arg, total));
+                }
+            }
+        }
     }
-    sys.solve();
+    found.into_iter().collect()
+}
+
+/// Checks the occurrence queries of a solved system: per variable id
+/// (collapsed ids included), the class set of the class-valued map is
+/// exactly the image of the function-valued map's annotation set under
+/// `f ↦ f(s₀)`, the two agree on whether the probe occurs accepted, and
+/// the per-variable query returns the function-valued map's set, which
+/// equals [`descent_oracle`]'s.
+fn check_occurrence_queries<A: Algebra>(
+    sys: &mut System<A>,
+    probe: ConsId,
+    stage: &str,
+) -> Result<(), String> {
     let fns = sys.constant_occurrence_map(probe);
     let classes = sys.constant_occurrence_classes(probe);
-    prop_assert_eq!(fns.len(), classes.len(), "map lengths");
+    prop_assert_eq!(fns.len(), sys.num_vars(), "{stage}: map length");
+    prop_assert_eq!(fns.len(), classes.len(), "{stage}: map lengths");
     let start = sys.algebra().start_class();
     for (x, (fs, cs)) in fns.iter().zip(&classes).enumerate() {
         let mut image: Vec<_> = fs
@@ -419,15 +444,52 @@ fn check_classes_match_functions<A: Algebra>(
             .collect();
         image.sort();
         image.dedup();
-        prop_assert_eq!(cs, &image, "class set of variable {x}");
+        prop_assert_eq!(cs, &image, "{stage}: class set of variable {x}");
         let alg = sys.algebra();
         prop_assert_eq!(
             fs.iter().any(|&f| alg.is_accepting(f)),
             cs.iter().any(|&c| alg.class_accepting(c)),
-            "accept test of variable {x}"
+            "{stage}: accept test of variable {x}"
+        );
+        let v = VarId::from_index(x);
+        let want = descent_oracle(sys, v, probe);
+        prop_assert_eq!(fs, &want, "{stage}: map entry of variable {x}");
+        prop_assert_eq!(
+            sys.occurrence_annotations(v, probe),
+            want,
+            "{stage}: occurrence query of variable {x}"
         );
     }
     Ok(())
+}
+
+/// Solves `base` over `alg` and checks its occurrence queries, then again
+/// inside an epoch after adding `extra`, and once more after rolling the
+/// epoch back.
+fn check_classes_match_functions<A: Algebra>(
+    alg: A,
+    make_anns: impl FnOnce(&mut A) -> [AnnId; 2],
+    base: &[RandCon],
+    extra: &[RandCon],
+) -> Result<(), String> {
+    let mut sys = System::new(alg);
+    let anns = make_anns(sys.algebra_mut());
+    let vars: Vec<VarId> = (0..N_VARS).map(|i| sys.var(&format!("v{i}"))).collect();
+    let probe = sys.constructor("probe", &[]);
+    let o = sys.constructor("o", &[rasc::constraints::Variance::Covariant]);
+    for c in base {
+        apply_with(&mut sys, &vars, probe, o, anns, c);
+    }
+    sys.solve();
+    check_occurrence_queries(&mut sys, probe, "base")?;
+    sys.push_epoch();
+    for c in extra {
+        apply_with(&mut sys, &vars, probe, o, anns, c);
+    }
+    sys.solve();
+    check_occurrence_queries(&mut sys, probe, "inside the epoch")?;
+    sys.pop_epoch();
+    check_occurrence_queries(&mut sys, probe, "after rollback")
 }
 
 #[test]
@@ -435,19 +497,21 @@ fn occurrence_classes_are_the_image_of_occurrence_functions() {
     forall(
         "occurrence_classes_are_the_image_of_occurrence_functions",
         Config::cases(96),
-        |rng| arb_cons(rng, 24),
-        |cons| {
+        |rng| (arb_cons(rng, 24), arb_cons(rng, 12)),
+        |(base, extra)| {
             let (sigma, dfa) = machine();
             let syms: Vec<SymbolId> = sigma.symbols().collect();
             check_classes_match_functions(
                 MonoidAlgebra::new(&dfa),
                 |alg| [0, 1].map(|i| alg.word(&[syms[i]])),
-                cons,
+                base,
+                extra,
             )?;
             check_classes_match_functions(
                 GenKillAlgebra::new(2),
                 |alg| [alg.transfer(0b01, 0b10), alg.transfer(0b10, 0b01)],
-                cons,
+                base,
+                extra,
             )?;
             let spec = PropertySpec::parse(
                 "start state Closed : | open(x) -> Opened;\n\
@@ -466,7 +530,8 @@ fn occurrence_classes_are_the_image_of_occurrence_functions() {
                     let fd = alg.label("fd");
                     [alg.instantiate(open, &[(x, fd)]), alg.plain(close)]
                 },
-                cons,
+                base,
+                extra,
             )
         },
     );
