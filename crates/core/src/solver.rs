@@ -633,15 +633,18 @@ impl CycleScratch {
     }
 }
 
-/// Per-[`System`] scratch space for the step path, taken with `mem::take`
-/// around each use so capacity survives across facts. Never serialized and
-/// never part of the solved form.
+/// Per-[`System`] scratch space for the step path and the closure-scoped
+/// queries, taken with `mem::take` around each use so capacity survives
+/// across facts. Never serialized and never part of the solved form.
 #[derive(Debug, Default)]
 struct SolverScratch {
     cycle: CycleScratch,
     resolve_src_args: Vec<VarId>,
     resolve_snk_args: Vec<VarId>,
     resolve_variances: Vec<Variance>,
+    /// A variable-indexed map, `u32::MAX` at every entry between uses
+    /// (see [`System::take_closure_index`]).
+    closure_index: Vec<u32>,
 }
 
 impl PendingCounts {
@@ -2152,6 +2155,26 @@ impl<A: Algebra> System<A> {
             }
         }
         out
+    }
+
+    /// Takes the reusable variable-indexed map of a closure-scoped query:
+    /// at least one entry per variable, each `u32::MAX`. A query resets
+    /// the entries it set and hands the map back with
+    /// [`System::put_closure_index`], so a small closure costs no pass
+    /// over every variable.
+    pub(crate) fn take_closure_index(&mut self) -> Vec<u32> {
+        let mut index = std::mem::take(&mut self.scratch.closure_index);
+        if index.len() < self.num_vars() {
+            index.resize(self.num_vars(), u32::MAX);
+        }
+        index
+    }
+
+    /// Returns the map taken by [`System::take_closure_index`], every
+    /// entry `u32::MAX` again.
+    pub(crate) fn put_closure_index(&mut self, index: Vec<u32>) {
+        debug_assert!(index.iter().all(|&i| i == u32::MAX));
+        self.scratch.closure_index = index;
     }
 
     pub(crate) fn lbs_of(&self, x: VarId) -> impl Iterator<Item = (&Source, &[AnnId])> {
